@@ -1,5 +1,5 @@
 // Benchmark harness: one benchmark per reproduced figure/table (the
-// drivers live in internal/experiments; tables print via cmd/pariobench)
+// drivers live in internal/experiments; tables print via cmd/pariosim)
 // plus microbenchmarks of the core access paths. Experiment benches
 // report the headline metric of their table via b.ReportMetric so the
 // paper's shapes are visible in benchmark output.
@@ -12,15 +12,26 @@ import (
 	"time"
 
 	pario "repro"
-	"repro/internal/blockio"
-	"repro/internal/collective"
-	"repro/internal/device"
 	"repro/internal/experiments"
-	"repro/internal/mpp"
-	"repro/internal/pfs"
 	"repro/internal/probe"
-	"repro/internal/sim"
 )
+
+// point is one parameterized run of a scenario builder
+// (experiments.Checkpoint, Scan, Multijob).
+type point interface {
+	Run(rec *probe.Recorder) (*experiments.Result, error)
+}
+
+// runPoint runs one scenario point under rec (nil: detached) and
+// returns its metrics; the point has verified its bytes.
+func runPoint(tb testing.TB, pt point, rec *probe.Recorder) map[string]float64 {
+	tb.Helper()
+	res, err := pt.Run(rec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res.Metrics
+}
 
 // benchExperiment runs one experiment driver per iteration and reports
 // selected metrics from the final run.
@@ -28,7 +39,7 @@ func benchExperiment(b *testing.B, id string, report ...string) {
 	var res *experiments.Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = experiments.Run(id)
+		res, err = experiments.Run(id, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -247,74 +258,15 @@ func BenchmarkDirectReadRecordAt(b *testing.B) {
 	}
 }
 
-// runScaleScenario models one contended pipelined collective checkpoint
-// at the given scale — every rank writes two strided blocks through a
-// chunked collective over a drives-wide direct store, with per-process
-// links and a shared bisection pool both charged — and returns the final
-// modeled time. This is the shape the engine-scaling work is judged on:
-// ranks × drives up to 4096 × 256 in wall-clock seconds. A non-nil rec
-// is attached across every layer (BenchmarkTraceOverhead measures its
-// wall-clock cost; modeled time must not change).
+// runScaleScenario runs the scale scenario's contended pipelined
+// collective checkpoint at the given size — every rank writes two
+// strided blocks through a chunked collective, with per-process links
+// and a shared bisection pool both charged — and returns the final
+// modeled time. A non-nil rec is attached across every layer
+// (BenchmarkTraceOverhead measures its wall-clock cost; modeled time
+// must not change).
 func runScaleScenario(tb testing.TB, ranks, drives int, rec *probe.Recorder) time.Duration {
-	const bs = 256
-	e := sim.NewEngine()
-	geom := device.Geometry{BlockSize: bs, BlocksPerCyl: 8, Cylinders: 64}
-	disks := make([]*device.Disk, drives)
-	for i := range disks {
-		disks[i] = device.New(device.Config{
-			Name: fmt.Sprintf("d%d", i), Geometry: geom, Engine: e,
-		})
-	}
-	store, err := blockio.NewDirect(disks)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if rec != nil {
-		e.SetProbe(rec)
-		for _, d := range disks {
-			d.SetProbe(rec)
-		}
-		store.SetProbe(rec)
-	}
-	vol := pfs.NewVolume(store)
-	if _, err := vol.Create(pfs.Spec{
-		Name: "chk", Org: pfs.OrgSequential, RecordSize: bs,
-		NumRecords: int64(2 * ranks), Placement: pfs.PlaceStriped, StripeUnitFS: 1,
-	}); err != nil {
-		tb.Fatal(err)
-	}
-	g, err := vol.OpenGroup("chk")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	col, err := collective.Open(g, ranks, collective.Options{ChunkBytes: 8 * bs})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	mg, join := mpp.Run(e, ranks, "w", func(p *mpp.Proc) {
-		r := int64(p.Rank())
-		reqs := []collective.VecReq{{File: 0, Vec: blockio.Vec{
-			{Block: r, N: 1, BufOff: 0},
-			{Block: r + int64(ranks), N: 1, BufOff: bs},
-		}}}
-		buf := make([]byte, 2*bs)
-		for i := range buf {
-			buf[i] = byte(int(r) + i)
-		}
-		if err := col.WriteAll(p, reqs, buf); err != nil {
-			tb.Errorf("rank %d: %v", p.Rank(), err)
-		}
-	})
-	mg.SetLink(2*time.Microsecond, 100e6)
-	mg.SetBisection(500e6)
-	if rec != nil {
-		mg.SetProbe(rec, "w")
-	}
-	e.Go("join", func(sp *sim.Proc) { join.Wait(sp) })
-	if err := e.Run(); err != nil {
-		tb.Fatal(err)
-	}
-	return e.Now()
+	return elapsed(runPoint(tb, experiments.ScaleCheckpoint(ranks, drives), rec))
 }
 
 // BenchmarkEngineScale drives the 4096-rank × 256-drive contended

@@ -4,36 +4,35 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
+// TestScenarios runs every registered scenario once through the front
+// end, checking its header names the registered title and that it
+// reports tables and metrics.
 func TestScenarios(t *testing.T) {
-	for _, sc := range []string{"seek", "service", "stripe", "extent", "noncontig", "collective", "strategy", "contended", "pipeline", "replay", "profile", "multijob", "scale"} {
-		var out bytes.Buffer
-		if err := run(sc, "", &out); err != nil {
-			t.Fatalf("%s: %v", sc, err)
-		}
-		if out.Len() == 0 {
-			t.Fatalf("%s produced no output", sc)
-		}
-	}
-}
-
-func TestAllScenario(t *testing.T) {
-	var out bytes.Buffer
-	if err := run("all", "", &out); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, want := range []string{"Seek curve", "service time", "striped scan", "Extent coalescing", "Vectored I/O", "Collective I/O", "Strategy selection", "Contention-aware", "Pipelined collective", "Plan capture & replay", "Cross-layer profiles", "Multi-job I/O service", "Engine scaling"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("missing %q in:\n%s", want, s)
-		}
+	for _, id := range experiments.IDs() {
+		t.Run(id, func(t *testing.T) {
+			t.Parallel() // every run builds its own machine
+			res, err := runOne(id, "", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			title := experiments.Title(id)
+			if header := "== " + id + ": " + title + " =="; title == "" || !strings.HasPrefix(res.String(), header) {
+				t.Errorf("output does not open with %q", header)
+			}
+			if len(res.Tables) == 0 || len(res.Metrics) == 0 {
+				t.Errorf("%d tables, %d metrics", len(res.Tables), len(res.Metrics))
+			}
+		})
 	}
 }
 
 func TestSeekTableMonotone(t *testing.T) {
 	var out bytes.Buffer
-	if err := run("seek", "", &out); err != nil {
+	if err := run("seek", "", nil, &out); err != nil {
 		t.Fatal(err)
 	}
 	// The longest seek row (899 cylinders) must appear.
@@ -42,19 +41,27 @@ func TestSeekTableMonotone(t *testing.T) {
 	}
 }
 
+// TestUnknownScenario: an unknown id is refused with every id listed,
+// an unknown profile refused.
 func TestUnknownScenario(t *testing.T) {
 	var out bytes.Buffer
-	if err := run("wat", "", &out); err == nil {
+	err := run("wat", "", nil, &out)
+	if err == nil {
 		t.Fatal("unknown scenario accepted")
 	}
-	if err := run("profile", "wat", &out); err == nil {
+	for _, id := range experiments.IDs() {
+		if !strings.Contains(err.Error(), id) {
+			t.Errorf("error %q does not list %s", err, id)
+		}
+	}
+	if err := run("profile", "wat", nil, &out); err == nil {
 		t.Fatal("unknown profile accepted")
 	}
 }
 
 func TestProfileFlagSelects(t *testing.T) {
 	var out bytes.Buffer
-	if err := run("profile", "tuned", &out); err != nil {
+	if err := run("profile", "tuned", nil, &out); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()

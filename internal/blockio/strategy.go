@@ -116,10 +116,10 @@ func (m CostModel) Xfer(bytes int64) time.Duration {
 	return time.Duration(float64(bytes) / m.DevBytesPerSec * float64(time.Second))
 }
 
-// VecCost prices the vectored execution of mapped gather runs: devices
+// vecCost prices the vectored execution of mapped gather runs: devices
 // proceed in parallel, so the cost is the slowest device's requests
 // plus its useful bytes.
-func (m CostModel) VecCost(runs []Run, bs int64) time.Duration {
+func (m CostModel) vecCost(runs []Run, bs int64) time.Duration {
 	var worst time.Duration
 	for i := 0; i < len(runs); {
 		j := i + 1
@@ -140,11 +140,11 @@ func (m CostModel) VecCost(runs []Run, bs int64) time.Duration {
 	return worst
 }
 
-// SieveCost prices the sieved execution of the covering spans: one
+// sieveCost prices the sieved execution of the covering spans: one
 // request moving the whole span per device for reads, two requests
 // moving it twice for the read-modify-write of writes; again the
 // slowest device bounds the operation.
-func (m CostModel) SieveCost(spans []SieveSpan, bs int64, write bool) time.Duration {
+func (m CostModel) sieveCost(spans []SieveSpan, bs int64, write bool) time.Duration {
 	var worst time.Duration
 	for _, sp := range spans {
 		d := m.ReqFixed + m.Xfer(sp.Blocks*bs)
@@ -158,18 +158,18 @@ func (m CostModel) SieveCost(spans []SieveSpan, bs int64, write bool) time.Durat
 	return worst
 }
 
-// ChooseVecStrategy resolves StrategyAuto for one Set transfer: the
+// chooseVecStrategy resolves StrategyAuto for one Set transfer: the
 // descriptor is mapped once and the vectored and sieved executions are
 // priced; the cheaper one wins (ties to vectored, which never moves
 // bytes nobody asked for). Fixed strategies pass through unchanged
 // (StrategyDefault and StrategyCollective mean vectored at this layer).
-func (s *Set) ChooseVecStrategy(m CostModel, vec Vec, write bool) (Strategy, error) {
-	if err := s.checkVec("ChooseVecStrategy", vec, -1); err != nil {
+func (s *Set) chooseVecStrategy(m CostModel, vec Vec, write bool) (Strategy, error) {
+	if err := s.checkVec("VecStrategy", vec, -1); err != nil {
 		return 0, err
 	}
 	runs := s.mapVec(vec)
 	bs := int64(s.store.BlockSize())
-	if m.SieveCost(s.sieveSpans(runs), bs, write) < m.VecCost(runs, bs) {
+	if m.sieveCost(s.sieveSpans(runs), bs, write) < m.vecCost(runs, bs) {
 		return StrategySieved, nil
 	}
 	return StrategyVectored, nil
@@ -190,7 +190,7 @@ func (s *Set) WriteVecStrategy(ctx sim.Context, strat Strategy, m CostModel, vec
 func (s *Set) doVecStrategy(ctx sim.Context, strat Strategy, m CostModel, vec Vec, buf []byte, write bool) error {
 	if strat == StrategyAuto {
 		var err error
-		if strat, err = s.ChooseVecStrategy(m, vec, write); err != nil {
+		if strat, err = s.chooseVecStrategy(m, vec, write); err != nil {
 			return err
 		}
 	}

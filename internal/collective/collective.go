@@ -39,6 +39,7 @@ import (
 	"repro/internal/mpp"
 	"repro/internal/pfs"
 	"repro/internal/probe"
+	"repro/internal/stats"
 )
 
 // VecReq names one file of the collective's group and a scatter/gather
@@ -192,8 +193,8 @@ type Collective struct {
 	// per-call phase busy intervals, appended by every rank (strict
 	// alternation again) and folded into stats by rank 0 at the end.
 	// Recording is pure Now() reads, so it never perturbs the schedule.
-	commIv []iv
-	ioIv   []iv
+	commIv []stats.Interval
+	ioIv   []stats.Interval
 
 	// Nonblocking-call scratch: the Handle under construction, built by
 	// rank 0 between the plan barriers and grabbed by every rank right
@@ -361,7 +362,7 @@ func (c *Collective) run(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) err
 		send := c.packRankMsgs(pl, rank, buf)
 		t0 := p.Now()
 		recv := p.AlltoallvSparse(send)
-		c.commIv = append(c.commIv, iv{t0, p.Now()})
+		c.commIv = append(c.commIv, stats.Interval{From: t0, To: p.Now()})
 		exSpan := rec.Span(trk, "collective", "exchange", t0, p.Now(), 0, 0)
 		// Assemble every owned domain from the delivered payloads, then
 		// issue the device batches. Assembly is pure compute — it costs no
@@ -383,7 +384,7 @@ func (c *Collective) run(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) err
 			if err := sd.issueDomain(c, p, a, dombufs[i], true); err != nil {
 				aggErrs = append(aggErrs, err)
 			}
-			c.ioIv = append(c.ioIv, iv{t0, p.Now()})
+			c.ioIv = append(c.ioIv, stats.Interval{From: t0, To: p.Now()})
 			rec.Span(ioTrk, "collective", "access", t0, p.Now(), int64(len(dombufs[i])), exSpan)
 		}
 		c.errs[rank] = errors.Join(aggErrs...)
@@ -405,23 +406,24 @@ func (c *Collective) run(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) err
 			if err := sd.issueDomain(c, p, a, dombufs[i], false); err != nil {
 				aggErrs = append(aggErrs, err)
 			}
-			c.ioIv = append(c.ioIv, iv{t0, p.Now()})
+			c.ioIv = append(c.ioIv, stats.Interval{From: t0, To: p.Now()})
 			lastAcc = rec.Span(ioTrk, "collective", "access", t0, p.Now(), int64(len(dombufs[i])), 0)
 		}
 		c.errs[rank] = errors.Join(aggErrs...)
 		send := c.packDomainMsgs(pl, rank, owned, dombufs)
 		t0 := p.Now()
 		recv := p.AlltoallvSparse(send)
-		c.commIv = append(c.commIv, iv{t0, p.Now()})
+		c.commIv = append(c.commIv, stats.Interval{From: t0, To: p.Now()})
 		rec.Span(trk, "collective", "exchange", t0, p.Now(), 0, lastAcc)
 		c.scatterRankMsgs(pl, rank, recv, buf)
 		p.RecycleRecv(recv)
 	}
 	p.Barrier()
 	if rank == 0 {
-		c.stats.ExchangeTime = busyUnion(c.commIv)
-		c.stats.AccessTime = busyUnion(c.ioIv)
-		c.stats.Overlap = busyOverlap(c.commIv, c.ioIv)
+		comm, acc := stats.Union(c.commIv), stats.Union(c.ioIv)
+		c.stats.ExchangeTime = stats.Covered(comm)
+		c.stats.AccessTime = stats.Covered(acc)
+		c.stats.Overlap = stats.Overlap(comm, acc)
 	}
 	var errs []error
 	for r, err := range c.errs {

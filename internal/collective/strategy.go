@@ -28,6 +28,7 @@ import (
 	"repro/internal/blockio"
 	"repro/internal/mpp"
 	"repro/internal/probe"
+	"repro/internal/stats"
 )
 
 // route is the access path one collective call executes.
@@ -266,7 +267,7 @@ func (c *Collective) runIndependent(p *mpp.Proc, sd *schedule, write, sieved boo
 		}
 	}
 	if len(reqs) > 0 {
-		c.ioIv = append(c.ioIv, iv{t0, p.Now()})
+		c.ioIv = append(c.ioIv, stats.Interval{From: t0, To: p.Now()})
 		rec.Span(ioTrk, "collective", "independent", t0, p.Now(), 0, 0)
 	}
 	c.errs[rank] = errors.Join(errs...)

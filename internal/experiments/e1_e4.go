@@ -43,17 +43,7 @@ func E1Striping() (*Result, error) {
 		var writeTime, readTime time.Duration
 		if _, err := runMain(e, func(p *sim.Proc) error {
 			start := p.Now()
-			w, err := core.OpenWriter(f, opts)
-			if err != nil {
-				return err
-			}
-			buf := make([]byte, recordSize)
-			for r := int64(0); r < records; r++ {
-				if _, err := w.WriteRecord(p, buf); err != nil {
-					return err
-				}
-			}
-			if err := w.Close(p); err != nil {
+			if err := fillFile(p, f, opts); err != nil {
 				return err
 			}
 			writeTime = p.Now() - start
@@ -79,6 +69,9 @@ func E1Striping() (*Result, error) {
 		}); err != nil {
 			return nil, err
 		}
+		if err := verifyRecords(f); err != nil {
+			return nil, err
+		}
 
 		bytes := int64(records) * recordSize
 		if devs == 1 {
@@ -89,7 +82,7 @@ func E1Striping() (*Result, error) {
 		metrics[fmt.Sprintf("read_mbps_d%d", devs)] = stats.MBps(bytes, readTime)
 		metrics[fmt.Sprintf("read_speedup_d%d", devs)] = stats.Speedup(baseRead, readTime)
 	}
-	return &Result{ID: "e1", Title: Title("e1"), Tables: []*stats.Table{table}, Metrics: metrics}, nil
+	return &Result{Tables: []*stats.Table{table}, Metrics: metrics}, nil
 }
 
 // E2SelfSched measures the §4 self-scheduling optimization: early
@@ -120,17 +113,7 @@ func E2SelfSched() (*Result, error) {
 		}
 		var elapsed time.Duration
 		_, err = runMain(e, func(p *sim.Proc) error {
-			w, err := core.OpenWriter(f, core.Options{NBufs: 2 * devs, IOProcs: devs})
-			if err != nil {
-				return err
-			}
-			buf := make([]byte, recordSize)
-			for r := int64(0); r < records; r++ {
-				if _, err := w.WriteRecord(p, buf); err != nil {
-					return err
-				}
-			}
-			if err := w.Close(p); err != nil {
+			if err := fillFile(p, f, core.Options{NBufs: 2 * devs, IOProcs: devs}); err != nil {
 				return err
 			}
 			start := p.Now()
@@ -160,7 +143,10 @@ func E2SelfSched() (*Result, error) {
 			elapsed = p.Now() - start
 			return nil
 		})
-		return elapsed, err
+		if err != nil {
+			return 0, err
+		}
+		return elapsed, verifyRecords(f)
 	}
 
 	for _, compute := range []time.Duration{0, 2 * time.Millisecond, 10 * time.Millisecond, 40 * time.Millisecond} {
@@ -197,17 +183,7 @@ func E2SelfSched() (*Result, error) {
 		var elapsed time.Duration
 		var claims int64
 		_, err = runMain(e, func(p *sim.Proc) error {
-			w, err := core.OpenWriter(f, core.Options{NBufs: 2 * devs, IOProcs: devs})
-			if err != nil {
-				return err
-			}
-			buf := make([]byte, recordSize)
-			for r := int64(0); r < records; r++ {
-				if _, err := w.WriteRecord(p, buf); err != nil {
-					return err
-				}
-			}
-			if err := w.Close(p); err != nil {
+			if err := fillFile(p, f, core.Options{NBufs: 2 * devs, IOProcs: devs}); err != nil {
 				return err
 			}
 			start := p.Now()
@@ -245,7 +221,10 @@ func E2SelfSched() (*Result, error) {
 			elapsed = p.Now() - start
 			return nil
 		})
-		return elapsed, claims, err
+		if err != nil {
+			return 0, 0, err
+		}
+		return elapsed, claims, verifyRecords(f)
 	}
 	recElapsed, recClaims, err := runBlocks(false)
 	if err != nil {
@@ -260,7 +239,7 @@ func E2SelfSched() (*Result, error) {
 	metrics["claims_record"] = float64(recClaims)
 	metrics["claims_block"] = float64(blkClaims)
 
-	return &Result{ID: "e2", Title: Title("e2"), Tables: []*stats.Table{table, granTable}, Metrics: metrics}, nil
+	return &Result{Tables: []*stats.Table{table, granTable}, Metrics: metrics}, nil
 }
 
 // E3DevicePerProcess shows the §4 property of PS/IS placements: with one
@@ -291,17 +270,7 @@ func E3DevicePerProcess() (*Result, error) {
 		}
 		_, err = runMain(e, func(p *sim.Proc) error {
 			// Fill all partitions.
-			w, err := core.OpenWriter(f, core.Options{NBufs: 4, IOProcs: 2})
-			if err != nil {
-				return err
-			}
-			buf := make([]byte, recordSize)
-			for r := int64(0); r < procs*blocksPerPart; r++ {
-				if _, err := w.WriteRecord(p, buf); err != nil {
-					return err
-				}
-			}
-			if err := w.Close(p); err != nil {
+			if err := fillFile(p, f, core.Options{NBufs: 4, IOProcs: 2}); err != nil {
 				return err
 			}
 			start := p.Now()
@@ -329,7 +298,10 @@ func E3DevicePerProcess() (*Result, error) {
 			g.Wait(p)
 			return nil
 		})
-		return finish, err
+		if err != nil {
+			return finish, err
+		}
+		return finish, verifyRecords(f)
 	}
 
 	private, err := run(procs)
@@ -346,7 +318,7 @@ func E3DevicePerProcess() (*Result, error) {
 	metrics["private_fast_finish_ms"] = float64(private[0]) / float64(time.Millisecond)
 	metrics["shared_fast_finish_ms"] = float64(shared[0]) / float64(time.Millisecond)
 	metrics["fast_proc_slowdown"] = slow
-	return &Result{ID: "e3", Title: Title("e3"), Tables: []*stats.Table{table}, Metrics: metrics}, nil
+	return &Result{Tables: []*stats.Table{table}, Metrics: metrics}, nil
 }
 
 // E4SeekInterference measures the §4 concern that with fewer devices
@@ -379,17 +351,7 @@ func E4SeekInterference() (*Result, error) {
 		}
 		var elapsed time.Duration
 		_, err = runMain(e, func(p *sim.Proc) error {
-			w, err := core.OpenWriter(f, core.Options{NBufs: 4, IOProcs: 2})
-			if err != nil {
-				return err
-			}
-			buf := make([]byte, recordSize)
-			for r := int64(0); r < procs*blocksPerPart; r++ {
-				if _, err := w.WriteRecord(p, buf); err != nil {
-					return err
-				}
-			}
-			if err := w.Close(p); err != nil {
+			if err := fillFile(p, f, core.Options{NBufs: 4, IOProcs: 2}); err != nil {
 				return err
 			}
 			for _, d := range disks {
@@ -421,7 +383,7 @@ func E4SeekInterference() (*Result, error) {
 			return 0, 0, 0, err
 		}
 		seeks, cyls := sumSeeks(disks)
-		return elapsed, seeks, cyls, nil
+		return elapsed, seeks, cyls, verifyRecords(f)
 	}
 
 	bytes := int64(procs) * blocksPerPart * recordSize
@@ -453,5 +415,5 @@ func E4SeekInterference() (*Result, error) {
 			metrics[fmt.Sprintf("seekcyls_d%d_%s", devs, sched)] = float64(cyls)
 		}
 	}
-	return &Result{ID: "e4", Title: Title("e4"), Tables: []*stats.Table{table, scanTable}, Metrics: metrics}, nil
+	return &Result{Tables: []*stats.Table{table, scanTable}, Metrics: metrics}, nil
 }

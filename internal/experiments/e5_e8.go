@@ -122,7 +122,7 @@ func E5Decluster() (*Result, error) {
 			}
 		}
 	}
-	return &Result{ID: "e5", Title: Title("e5"), Tables: []*stats.Table{table}, Metrics: metrics}, nil
+	return &Result{Tables: []*stats.Table{table}, Metrics: metrics}, nil
 }
 
 // E6Buffering reproduces the §4 buffering claims: "buffering overheads
@@ -154,19 +154,9 @@ func E6Buffering() (*Result, error) {
 		}
 		var elapsed time.Duration
 		_, err = runMain(e, func(p *sim.Proc) error {
-			buf := make([]byte, recordSize)
 			if !write {
 				// Pre-fill for the read scan.
-				w, err := core.OpenWriter(f, core.Options{NBufs: 4, IOProcs: 2})
-				if err != nil {
-					return err
-				}
-				for r := int64(0); r < records; r++ {
-					if _, err := w.WriteRecord(p, buf); err != nil {
-						return err
-					}
-				}
-				if err := w.Close(p); err != nil {
+				if err := fillFile(p, f, core.Options{NBufs: 4, IOProcs: 2}); err != nil {
 					return err
 				}
 			}
@@ -177,8 +167,10 @@ func E6Buffering() (*Result, error) {
 				if err != nil {
 					return err
 				}
+				buf := make([]byte, recordSize)
 				for r := int64(0); r < records; r++ {
 					p.Sleep(compute)
+					stamp(buf, r, 0)
 					if _, err := w.WriteRecord(p, buf); err != nil {
 						return err
 					}
@@ -207,7 +199,10 @@ func E6Buffering() (*Result, error) {
 			elapsed = p.Now() - start
 			return nil
 		})
-		return elapsed, err
+		if err != nil {
+			return 0, err
+		}
+		return elapsed, verifyRecords(f)
 	}
 
 	type cfg struct {
@@ -245,7 +240,7 @@ func E6Buffering() (*Result, error) {
 		table.AddRow(c.label, c.nbufs, c.ioprocs, elapsed, stats.Speedup(base, elapsed))
 		metrics[c.label] = elapsed.Seconds()
 	}
-	return &Result{ID: "e6", Title: Title("e6"), Tables: []*stats.Table{table}, Metrics: metrics}, nil
+	return &Result{Tables: []*stats.Table{table}, Metrics: metrics}, nil
 }
 
 // E7GlobalView measures the §4 warnings about reading parallel files
@@ -313,17 +308,7 @@ func E7GlobalView() (*Result, error) {
 		}
 		var elapsed time.Duration
 		if _, err := runMain(e, func(p *sim.Proc) error {
-			w, err := core.OpenWriter(f, core.Options{NBufs: 8, IOProcs: 4})
-			if err != nil {
-				return err
-			}
-			buf := make([]byte, recordSize)
-			for r := int64(0); r < totalRecords; r++ {
-				if _, err := w.WriteRecord(p, buf); err != nil {
-					return err
-				}
-			}
-			if err := w.Close(p); err != nil {
+			if err := fillFile(p, f, core.Options{NBufs: 8, IOProcs: 4}); err != nil {
 				return err
 			}
 			start := p.Now()
@@ -347,12 +332,15 @@ func E7GlobalView() (*Result, error) {
 		}); err != nil {
 			return nil, err
 		}
+		if err := verifyRecords(f); err != nil {
+			return nil, err
+		}
 		bytes := int64(totalRecords) * recordSize
 		fsPer := f.Mapper().FSPerBlock()
 		table.AddRow(c.label, fsPer, c.nbufs, elapsed, stats.MBps(bytes, elapsed))
 		metrics[c.label] = stats.MBps(bytes, elapsed)
 	}
-	return &Result{ID: "e7", Title: Title("e7"), Tables: []*stats.Table{table}, Metrics: metrics}, nil
+	return &Result{Tables: []*stats.Table{table}, Metrics: metrics}, nil
 }
 
 // E8Reliability reproduces the §5 analysis: the MTBF table (including
@@ -484,9 +472,5 @@ func E8Reliability() (*Result, error) {
 		}
 	}
 
-	return &Result{
-		ID: "e8", Title: Title("e8"),
-		Tables:  []*stats.Table{mtbfTable, campTable, scenTable},
-		Metrics: metrics,
-	}, nil
+	return &Result{Tables: []*stats.Table{mtbfTable, campTable, scenTable}, Metrics: metrics}, nil
 }

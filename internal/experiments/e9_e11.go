@@ -13,7 +13,6 @@ import (
 	"repro/internal/pfs"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // E9ViewMismatch measures the §5 remedies when a file written with a PS
@@ -65,18 +64,7 @@ func E9ViewMismatch() (*Result, error) {
 		return vol, f, err
 	}
 	fill := func(p *sim.Proc, f *pfs.File) error {
-		w, err := core.OpenWriter(f, core.Options{NBufs: 8, IOProcs: 4})
-		if err != nil {
-			return err
-		}
-		buf := make([]byte, recordSize)
-		for r := int64(0); r < totalRecords; r++ {
-			workload.Record(buf, 1, r)
-			if _, err := w.WriteRecord(p, buf); err != nil {
-				return err
-			}
-		}
-		return w.Close(p)
+		return fillFile(p, f, core.Options{NBufs: 8, IOProcs: 4})
 	}
 
 	// Strategy 1: alternate view directly on the PS file.
@@ -104,6 +92,9 @@ func E9ViewMismatch() (*Result, error) {
 			altFour = p.Now() - start
 			return nil
 		}); err != nil {
+			return nil, err
+		}
+		if err := verifyRecords(f); err != nil {
 			return nil, err
 		}
 	}
@@ -150,6 +141,9 @@ func E9ViewMismatch() (*Result, error) {
 		}); err != nil {
 			return nil, err
 		}
+		if err := verifyRecords(f); err != nil {
+			return nil, err
+		}
 	}
 
 	// Strategy 3: copy-convert to IS, then native passes.
@@ -160,12 +154,14 @@ func E9ViewMismatch() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		var is *pfs.File
 		if _, err := runMain(e, func(p *sim.Proc) error {
 			if err := fill(p, f); err != nil {
 				return err
 			}
 			start := p.Now()
-			is, err := convert.ToOrganization(p, vol, f, "is", pfs.OrgInterleaved, procs,
+			var err error
+			is, err = convert.ToOrganization(p, vol, f, "is", pfs.OrgInterleaved, procs,
 				core.Options{NBufs: 8, IOProcs: 4})
 			if err != nil {
 				return err
@@ -184,6 +180,9 @@ func E9ViewMismatch() (*Result, error) {
 		}); err != nil {
 			return nil, err
 		}
+		if err := verifyRecords(f, is); err != nil {
+			return nil, err
+		}
 	}
 
 	table.AddRow("alternate view (PS placement)", altOne, altFour, "stride fights placement every pass")
@@ -194,7 +193,7 @@ func E9ViewMismatch() (*Result, error) {
 	metrics["glb_one_s"] = glbOne.Seconds()
 	metrics["copy_one_s"] = cpOne.Seconds()
 	metrics["copy_four_s"] = cpFour.Seconds()
-	return &Result{ID: "e9", Title: Title("e9"), Tables: []*stats.Table{table}, Metrics: metrics}, nil
+	return &Result{Tables: []*stats.Table{table}, Metrics: metrics}, nil
 }
 
 // E10Boundary measures the §5 boundary-data remedies on an out-of-core
@@ -231,7 +230,7 @@ func E10Boundary() (*Result, error) {
 			}
 			if _, err := runMain(e, func(p *sim.Proc) error {
 				src := func(rec int64, buf []byte) error {
-					workload.Record(buf, 2, rec)
+					stamp(buf, rec, 0)
 					return nil
 				}
 				for part := 0; part < parts; part++ {
@@ -290,6 +289,14 @@ func E10Boundary() (*Result, error) {
 			}); err != nil {
 				return nil, err
 			}
+			wall := sim.NewWall()
+			dr, err := boundary.OpenDedupReader(f, l, wall, core.Options{})
+			if err != nil {
+				return nil, err
+			}
+			if err := checkRecords(wall, dr, points); err != nil {
+				return nil, fmt.Errorf("%s: %w", f.Name(), err)
+			}
 		}
 
 		// Strategy B: plain file + in-memory halo cache.
@@ -305,18 +312,7 @@ func E10Boundary() (*Result, error) {
 				return nil, err
 			}
 			if _, err := runMain(e, func(p *sim.Proc) error {
-				w, err := core.OpenWriter(f, core.Options{NBufs: 8, IOProcs: 4})
-				if err != nil {
-					return err
-				}
-				buf := make([]byte, recordSize)
-				for r := int64(0); r < points; r++ {
-					workload.Record(buf, 2, r)
-					if _, err := w.WriteRecord(p, buf); err != nil {
-						return err
-					}
-				}
-				if err := w.Close(p); err != nil {
+				if err := fillFile(p, f, core.Options{NBufs: 8, IOProcs: 4}); err != nil {
 					return err
 				}
 				start := p.Now()
@@ -387,6 +383,9 @@ func E10Boundary() (*Result, error) {
 			}); err != nil {
 				return nil, err
 			}
+			if err := verifyRecords(f); err != nil {
+				return nil, err
+			}
 		}
 
 		ov := fmt.Sprintf("%.1f%%", l.Overhead()*100)
@@ -398,7 +397,7 @@ func E10Boundary() (*Result, error) {
 		metrics[fmt.Sprintf("cache_four_h%d_s", halo)] = cacheFour.Seconds()
 		metrics[fmt.Sprintf("overhead_h%d", halo)] = l.Overhead()
 	}
-	return &Result{ID: "e10", Title: Title("e10"), Tables: []*stats.Table{table}, Metrics: metrics}, nil
+	return &Result{Tables: []*stats.Table{table}, Metrics: metrics}, nil
 }
 
 // E11FemBaseline quantifies the §3 Finite Element Machine experience:
@@ -443,20 +442,10 @@ func E11FemBaseline() (*Result, error) {
 			}
 			var partT, mergeT time.Duration
 			if _, err := runMain(e, func(p *sim.Proc) error {
-				w, err := core.OpenWriter(global, core.Options{NBufs: 8, IOProcs: 4})
-				if err != nil {
+				if err := fillFile(p, global, core.Options{NBufs: 8, IOProcs: 4}); err != nil {
 					return err
 				}
-				buf := make([]byte, recordSize)
-				for r := int64(0); r < totalRecords; r++ {
-					workload.Record(buf, 3, r)
-					if _, err := w.WriteRecord(p, buf); err != nil {
-						return err
-					}
-				}
-				if err := w.Close(p); err != nil {
-					return err
-				}
+				var err error
 				partT, err = m.Partition(p, global, core.Options{NBufs: 4, IOProcs: 2})
 				if err != nil {
 					return err
@@ -466,10 +455,13 @@ func E11FemBaseline() (*Result, error) {
 			}); err != nil {
 				return nil, err
 			}
+			if err := verifyRecords(global, output); err != nil {
+				return nil, err
+			}
 			table.AddRow(procs, perProc, m.FileCount(), partT, mergeT, partT+mergeT, "1 object, 0 pre/post")
 			metrics[fmt.Sprintf("files_p%d_f%d", procs, perProc)] = float64(m.FileCount())
 			metrics[fmt.Sprintf("prepost_s_p%d_f%d", procs, perProc)] = (partT + mergeT).Seconds()
 		}
 	}
-	return &Result{ID: "e11", Title: Title("e11"), Tables: []*stats.Table{table}, Metrics: metrics}, nil
+	return &Result{Tables: []*stats.Table{table}, Metrics: metrics}, nil
 }

@@ -7,7 +7,9 @@ import (
 
 func TestIDsOrderAndTitles(t *testing.T) {
 	ids := IDs()
-	want := []string{"f1", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11"}
+	want := []string{"f1", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11",
+		"seek", "service", "stripe", "extent", "noncontig", "collective", "strategy",
+		"contended", "pipeline", "replay", "profile", "multijob", "scale"}
 	if len(ids) != len(want) {
 		t.Fatalf("IDs = %v", ids)
 	}
@@ -21,15 +23,41 @@ func TestIDsOrderAndTitles(t *testing.T) {
 			t.Fatalf("no title for %s", id)
 		}
 	}
-	if _, err := Run("nope"); err == nil {
-		t.Fatal("unknown id accepted")
+	if _, err := Run("nope", nil); err == nil || !strings.Contains(err.Error(), "e11, seek") {
+		t.Fatalf("unknown id: err = %v, want one listing every id", err)
+	}
+}
+
+// TestCorruptedWritesFail damages every payload the scenarios stamp and
+// requires each scenario that writes to report the damage as an error.
+func TestCorruptedWritesFail(t *testing.T) {
+	// These write nothing through stamp: the device-model tables read
+	// never-written blocks or only compute, E5 reads raw drives, and
+	// E8's reliability scenarios write and check their own patterns.
+	unstamped := map[string]bool{"seek": true, "service": true, "stripe": true, "e5": true, "e8": true}
+	defer func() { corrupt = nil }()
+	for _, id := range IDs() {
+		stamped := 0
+		corrupt = func(buf []byte) {
+			stamped++
+			buf[len(buf)-1] ^= 0x5a
+		}
+		_, err := Run(id, nil)
+		switch {
+		case unstamped[id] && (stamped > 0 || err != nil):
+			t.Errorf("%s: listed as writing nothing, but stamped %d payloads (err %v)", id, stamped, err)
+		case !unstamped[id] && stamped == 0:
+			t.Errorf("%s: wrote no stamped payload", id)
+		case !unstamped[id] && err == nil:
+			t.Errorf("%s: %d corrupted payloads went undetected", id, stamped)
+		}
 	}
 }
 
 // runOK runs an experiment and sanity-checks the result envelope.
 func runOK(t *testing.T, id string) *Result {
 	t.Helper()
-	res, err := Run(id)
+	res, err := Run(id, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}

@@ -33,19 +33,7 @@ func Figure1() (*Result, error) {
 		val  func(events []trace.Event) error
 	}
 
-	fill := func(p *sim.Proc, f *pfs.File) error {
-		w, err := core.OpenWriter(f, core.Options{})
-		if err != nil {
-			return err
-		}
-		buf := make([]byte, 64)
-		for r := int64(0); r < blocks; r++ {
-			if _, err := w.WriteRecord(p, buf); err != nil {
-				return err
-			}
-		}
-		return w.Close(p)
-	}
+	fill := func(p *sim.Proc, f *pfs.File) error { return fillFile(p, f, core.Options{}) }
 
 	drainStream := func(c *sim.Proc, r *core.StreamReader) error {
 		for {
@@ -208,6 +196,9 @@ func Figure1() (*Result, error) {
 		if err := e.Run(); err != nil {
 			return nil, fmt.Errorf("%s: %w", tc.name, err)
 		}
+		if err := verifyRecords(f); err != nil {
+			return nil, fmt.Errorf("%s: %w", tc.name, err)
+		}
 		// Only read events (the fill pass writes without tracing).
 		valErr := tc.val(rec.Events())
 		valid := "yes"
@@ -220,10 +211,5 @@ func Figure1() (*Result, error) {
 		}
 	}
 
-	return &Result{
-		ID:      "f1",
-		Title:   Title("f1"),
-		Tables:  []*stats.Table{table},
-		Metrics: metrics,
-	}, nil
+	return &Result{Tables: []*stats.Table{table}, Metrics: metrics}, nil
 }

@@ -407,14 +407,6 @@ func (g *Group) SetProbe(r *probe.Recorder, prefix string) {
 // (package collective) inherit its recorder through this.
 func (g *Group) Probe() (*probe.Recorder, string) { return g.rec, g.prPrefix }
 
-// RankTrack reports rank r's trace track (0 when detached).
-func (g *Group) RankTrack(r int) probe.TrackID {
-	if g.rankTrk == nil {
-		return 0
-	}
-	return g.rankTrk[r]
-}
-
 // crossCut reports whether a message from rank a to rank b crosses the
 // bisection cut (and so charges the pool). Without a topology every
 // non-self pair crosses; a == b never does.

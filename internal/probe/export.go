@@ -267,7 +267,7 @@ func (r *Recorder) Usage() []TrackUsage {
 	}
 	var lo, hi time.Duration
 	seen := false
-	per := make([][]iv, len(r.tracks))
+	per := make([][]stats.Interval, len(r.tracks))
 	out := make([]TrackUsage, len(r.tracks))
 	for i, t := range r.tracks {
 		out[i].Name = t.name
@@ -277,7 +277,7 @@ func (r *Recorder) Usage() []TrackUsage {
 		u.Spans++
 		u.Bytes += s.Bytes
 		if s.End > s.Start {
-			per[s.Track-1] = append(per[s.Track-1], iv{s.Start, s.End})
+			per[s.Track-1] = append(per[s.Track-1], stats.Interval{From: s.Start, To: s.End})
 		}
 		if !seen || s.Start < lo {
 			lo = s.Start
@@ -289,7 +289,7 @@ func (r *Recorder) Usage() []TrackUsage {
 	}
 	span := hi - lo
 	for i := range out {
-		out[i].Busy = unionIvs(per[i])
+		out[i].Busy = stats.Covered(stats.Union(per[i]))
 		if span > 0 {
 			out[i].Util = float64(out[i].Busy) / float64(span)
 		}
@@ -313,92 +313,26 @@ func (r *Recorder) UtilizationTable() *stats.Table {
 // UnionBusy returns the total virtual time covered by the union of the
 // spans accepted by keep (overlaps counted once).
 func (r *Recorder) UnionBusy(keep func(Span) bool) time.Duration {
-	if r == nil {
-		return 0
-	}
-	var ivs []iv
-	for _, s := range r.spans {
-		if s.End > s.Start && keep(s) {
-			ivs = append(ivs, iv{s.Start, s.End})
-		}
-	}
-	return unionIvs(ivs)
+	return stats.Covered(r.unionOf(keep))
 }
 
 // OverlapBusy returns the virtual time where the union of spans
 // accepted by a overlaps the union of spans accepted by b — e.g.
 // exchange/access overlap in the pipelined collective.
 func (r *Recorder) OverlapBusy(a, b func(Span) bool) time.Duration {
-	if r == nil {
-		return 0
-	}
-	ua, ub := r.unionOf(a), r.unionOf(b)
-	var ov time.Duration
-	i, j := 0, 0
-	for i < len(ua) && j < len(ub) {
-		from, to := maxDur(ua[i].from, ub[j].from), minDur(ua[i].to, ub[j].to)
-		if to > from {
-			ov += to - from
-		}
-		if ua[i].to < ub[j].to {
-			i++
-		} else {
-			j++
-		}
-	}
-	return ov
+	return stats.Overlap(r.unionOf(a), r.unionOf(b))
 }
 
-func (r *Recorder) unionOf(keep func(Span) bool) []iv {
-	var ivs []iv
+// unionOf is the disjoint cover of the spans accepted by keep.
+func (r *Recorder) unionOf(keep func(Span) bool) []stats.Interval {
+	if r == nil {
+		return nil
+	}
+	var ivs []stats.Interval
 	for _, s := range r.spans {
 		if s.End > s.Start && keep(s) {
-			ivs = append(ivs, iv{s.Start, s.End})
+			ivs = append(ivs, stats.Interval{From: s.Start, To: s.End})
 		}
 	}
-	return mergeIvs(ivs)
-}
-
-type iv struct{ from, to time.Duration }
-
-// mergeIvs sorts and coalesces intervals into a disjoint union.
-func mergeIvs(ivs []iv) []iv {
-	if len(ivs) == 0 {
-		return ivs
-	}
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].from < ivs[j].from })
-	out := ivs[:1]
-	for _, x := range ivs[1:] {
-		last := &out[len(out)-1]
-		if x.from <= last.to {
-			if x.to > last.to {
-				last.to = x.to
-			}
-		} else {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-func unionIvs(ivs []iv) time.Duration {
-	var total time.Duration
-	for _, x := range mergeIvs(ivs) {
-		total += x.to - x.from
-	}
-	return total
-}
-
-func minDur(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
+	return stats.Union(ivs)
 }

@@ -1,11 +1,13 @@
-// Package stats provides counters, throughput math and fixed-width table
-// rendering for the experiment harness (the paper-style tables printed
-// by cmd/pariobench and recorded in EXPERIMENTS.md).
+// Package stats provides counters, throughput math, busy-interval
+// unions and fixed-width table rendering for the experiment harness
+// (the paper-style tables printed by cmd/pariosim).
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -241,3 +243,49 @@ func (w *Welford) Min() float64 { return w.min }
 
 // Max reports the largest observation.
 func (w *Welford) Max() float64 { return w.max }
+
+// Interval is a span [From, To) of virtual time.
+type Interval struct{ From, To time.Duration }
+
+// Union sorts ivs in place and coalesces them into their disjoint,
+// ordered cover, reusing ivs' storage. Empty intervals are dropped.
+func Union(ivs []Interval) []Interval {
+	slices.SortFunc(ivs, func(a, b Interval) int { return cmp.Compare(a.From, b.From) })
+	out := ivs[:0]
+	for _, x := range ivs {
+		if x.To <= x.From {
+			continue
+		}
+		if k := len(out) - 1; k >= 0 && x.From <= out[k].To {
+			out[k].To = max(out[k].To, x.To)
+			continue
+		}
+		out = append(out, x)
+	}
+	return out
+}
+
+// Covered totals the time a disjoint cover (Union's result) spans.
+func Covered(u []Interval) time.Duration {
+	var total time.Duration
+	for _, x := range u {
+		total += x.To - x.From
+	}
+	return total
+}
+
+// Overlap totals the time two disjoint, ordered covers share.
+func Overlap(a, b []Interval) time.Duration {
+	var total time.Duration
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		if lo, hi := max(a[i].From, b[j].From), min(a[i].To, b[j].To); hi > lo {
+			total += hi - lo
+		}
+		if a[i].To < b[j].To {
+			i++
+		} else {
+			j++
+		}
+	}
+	return total
+}

@@ -123,3 +123,21 @@ func TestSampleQuantiles(t *testing.T) {
 		t.Fatalf("QuantileDur = %v", got)
 	}
 }
+
+func TestIntervalUnionAndOverlap(t *testing.T) {
+	iv := func(from, to time.Duration) Interval { return Interval{From: from, To: to} }
+	a := Union([]Interval{iv(5, 9), iv(0, 2), iv(1, 3), iv(4, 4), iv(8, 12)})
+	if len(a) != 2 || a[0] != iv(0, 3) || a[1] != iv(5, 12) {
+		t.Fatalf("Union = %v, want [{0 3} {5 12}] (empty interval dropped)", a)
+	}
+	if got := Covered(a); got != 10 {
+		t.Fatalf("Covered = %v, want 10", got)
+	}
+	b := Union([]Interval{iv(2, 6), iv(11, 20)})
+	if got := Overlap(a, b); got != 3 { // [2,3) + [5,6) + [11,12)
+		t.Fatalf("Overlap = %v, want 3", got)
+	}
+	if Overlap(a, nil) != 0 || Covered(Union(nil)) != 0 {
+		t.Fatal("empty covers must contribute nothing")
+	}
+}

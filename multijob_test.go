@@ -15,145 +15,55 @@
 package pario_test
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	pario "repro"
+	"repro/internal/experiments"
 )
 
-// mjRun is one measured contended run.
-type mjRun struct {
-	bully, victim pario.IOJobStats
-	makespan      time.Duration
-}
-
-// runMultijob executes the bully/victim mix under the given policy
-// (victimPrio raises the victim's lane for the Priority runs) and
-// returns both lanes' stats and the modeled makespan.
-func runMultijob(tb testing.TB, pol pario.IOPolicy, victimPrio int) mjRun {
-	tb.Helper()
-	const ranks = 4
-	m := pario.NewMachine(2)
-	m.SetProbe(pario.NewRecorder()) // live recorder: must not perturb modeled time or lane stats
-	mk := func(name string, blocks int64) *pario.FileGroup {
-		if _, err := m.Volume.Create(pario.Spec{
-			Name: name, Org: pario.OrgGlobalDirect,
-			RecordSize: 4096, BlockRecords: 1, NumRecords: blocks,
-			Placement: pario.PlaceStriped, StripeUnitFS: 1,
-		}); err != nil {
-			tb.Fatal(err)
-		}
-		g, err := m.Volume.OpenGroup(name)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		return g
-	}
-	gBully, gVictim := mk("big", 512), mk("small", 64)
-
-	srv := pario.NewIOServer(pario.IOServerConfig{Workers: 1, Policy: pol})
-	srv.SetProbe(m.Probe())
-	laneB := srv.AddJob(pario.IOJobConfig{Name: "bully"})
-	laneV := srv.AddJob(pario.IOJobConfig{Name: "victim", Priority: victimPrio})
-	srv.Start(m.Engine)
-	colB, err := pario.OpenCollective(gBully, ranks, pario.CollectiveOptions{Service: laneB})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	colV, err := pario.OpenCollective(gVictim, ranks, pario.CollectiveOptions{Service: laneV})
-	if err != nil {
-		tb.Fatal(err)
-	}
-
-	var done pario.Group
-	done.Add(2 * ranks)
-	m.GoRanks(ranks, "bully", func(r *pario.Rank) {
-		defer done.Done(r.Proc)
-		// Six checkpoints issued back to back — the backlog — then the
-		// Waits in issue order.
-		const per = 512 / ranks
-		buf := make([]byte, per*4096)
-		reqs := []pario.VecReq{{File: 0, Vec: pario.Vec{{Block: int64(r.Rank() * per), N: per}}}}
-		var hs []*pario.IOHandle
-		for i := 0; i < 6; i++ {
-			h, err := colB.IWriteAll(r, reqs, buf)
-			if err != nil {
-				tb.Errorf("bully rank %d: %v", r.Rank(), err)
-				return
-			}
-			hs = append(hs, h)
-		}
-		for _, h := range hs {
-			if err := h.Wait(r); err != nil {
-				tb.Errorf("bully rank %d: %v", r.Rank(), err)
-			}
-		}
-	})
-	m.GoRanks(ranks, "victim", func(r *pario.Rank) {
-		defer done.Done(r.Proc)
-		r.Compute(10 * time.Millisecond) // arrive behind the backlog
-		const per = 64 / ranks
-		buf := make([]byte, per*4096)
-		reqs := []pario.VecReq{{File: 0, Vec: pario.Vec{{Block: int64(r.Rank() * per), N: per}}}}
-		for i := 0; i < 8; i++ {
-			h, err := colV.IWriteAll(r, reqs, buf)
-			if err != nil {
-				tb.Errorf("victim rank %d: %v", r.Rank(), err)
-				return
-			}
-			if err := h.Wait(r); err != nil {
-				tb.Errorf("victim rank %d: %v", r.Rank(), err)
-			}
-		}
-	})
-	var res mjRun
-	m.Go("driver", func(p *pario.Proc) {
-		done.Wait(p)
-		srv.Stop(p)
-		res.makespan = p.Now()
-	})
-	if err := m.Run(); err != nil {
-		tb.Fatal(err)
-	}
-	res.bully, res.victim = laneB.Stats(), laneV.Stats()
-	if res.bully.Submitted != res.bully.Completed || res.victim.Submitted != res.victim.Completed {
-		tb.Fatalf("unfinished lanes: bully %+v victim %+v", res.bully, res.victim)
-	}
-	return res
+// mixed runs the bully/victim mix under the given policy (victimPrio
+// raises the victim's lane for the Priority runs), with a live recorder
+// attached (it must not perturb modeled time or lane stats). The run
+// fails unless every lane drained and both files verify.
+func mixed(tb testing.TB, pol pario.IOPolicy, victimPrio int) map[string]float64 {
+	return runPoint(tb, experiments.MultijobQoS(pol, victimPrio), pario.NewRecorder())
 }
 
 // TestMultijobQoS enforces the scheduler wins through the full
 // collective path: fair-share bounds the victim's p99 below FIFO's,
 // and strict priority cuts it at least 2×.
 func TestMultijobQoS(t *testing.T) {
-	fifo := runMultijob(t, pario.IOFIFO, 0)
-	fair := runMultijob(t, pario.IOFairShare, 0)
-	prio := runMultijob(t, pario.IOPriority, 1)
-	t.Logf("victim p99: fifo %v fair %v prio %v", fifo.victim.P99, fair.victim.P99, prio.victim.P99)
-	if fair.victim.P99 >= fifo.victim.P99 {
-		t.Errorf("fair-share did not bound the victim: p99 %v vs FIFO %v", fair.victim.P99, fifo.victim.P99)
+	fifo := mixed(t, pario.IOFIFO, 0)
+	fair := mixed(t, pario.IOFairShare, 0)
+	prio := mixed(t, pario.IOPriority, 1)
+	p99 := func(m map[string]float64) time.Duration { return time.Duration(m["small_p99_ns"]) }
+	t.Logf("victim p99: fifo %v fair %v prio %v", p99(fifo), p99(fair), p99(prio))
+	if p99(fair) >= p99(fifo) {
+		t.Errorf("fair-share did not bound the victim: p99 %v vs FIFO %v", p99(fair), p99(fifo))
 	}
-	if prio.victim.P99*2 > fifo.victim.P99 {
-		t.Errorf("priority win under 2x: p99 %v vs FIFO %v", prio.victim.P99, fifo.victim.P99)
+	if p99(prio)*2 > p99(fifo) {
+		t.Errorf("priority win under 2x: p99 %v vs FIFO %v", p99(prio), p99(fifo))
 	}
 	// The bully still finishes: QoS reorders the backlog, it does not
 	// starve it (its lane drains by the makespan under every policy).
-	for _, r := range []mjRun{fifo, fair, prio} {
-		if r.bully.Completed != 12 || r.victim.Completed != 16 {
-			t.Errorf("lane accounting off: bully %+v victim %+v", r.bully, r.victim)
+	for _, m := range []map[string]float64{fifo, fair, prio} {
+		if m["bulk_completed"] != 12 || m["small_completed"] != 16 {
+			t.Errorf("lane accounting off: bully %v victim %v completed", m["bulk_completed"], m["small_completed"])
 		}
 	}
 }
 
 // TestMultijobDeterminism: the same contended mix twice gives
-// bit-identical modeled makespans and stats snapshots (latency
-// percentiles included) under every policy.
+// bit-identical modeled makespans and lane stats (latency percentiles
+// included) under every policy.
 func TestMultijobDeterminism(t *testing.T) {
 	for _, pol := range []pario.IOPolicy{pario.IOFIFO, pario.IOFairShare, pario.IOPriority} {
-		a := runMultijob(t, pol, 1)
-		b := runMultijob(t, pol, 1)
-		if a != b {
-			t.Fatalf("policy %v: runs differ:\n%+v\n%+v", pol, a, b)
+		a := mixed(t, pol, 1)
+		b := mixed(t, pol, 1)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("policy %v: runs differ:\n%v\n%v", pol, a, b)
 		}
 	}
 }
@@ -162,12 +72,12 @@ func TestMultijobDeterminism(t *testing.T) {
 // victim p99 and makespan per policy on the contended mix.
 func BenchmarkMultijob(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fifo := runMultijob(b, pario.IOFIFO, 0)
-		fair := runMultijob(b, pario.IOFairShare, 0)
-		prio := runMultijob(b, pario.IOPriority, 1)
-		b.ReportMetric(float64(fifo.victim.P99.Microseconds()), "fifo-victim-p99-µs")
-		b.ReportMetric(float64(fair.victim.P99.Microseconds()), "fair-victim-p99-µs")
-		b.ReportMetric(float64(prio.victim.P99.Microseconds()), "prio-victim-p99-µs")
-		b.ReportMetric(float64(fifo.makespan.Milliseconds()), "makespan-ms")
+		fifo := mixed(b, pario.IOFIFO, 0)
+		fair := mixed(b, pario.IOFairShare, 0)
+		prio := mixed(b, pario.IOPriority, 1)
+		b.ReportMetric(float64(time.Duration(fifo["small_p99_ns"]).Microseconds()), "fifo-victim-p99-µs")
+		b.ReportMetric(float64(time.Duration(fair["small_p99_ns"]).Microseconds()), "fair-victim-p99-µs")
+		b.ReportMetric(float64(time.Duration(prio["small_p99_ns"]).Microseconds()), "prio-victim-p99-µs")
+		b.ReportMetric(float64(time.Duration(fifo["makespan_ns"]).Milliseconds()), "makespan-ms")
 	}
 }

@@ -301,7 +301,8 @@
 //	machine.Run()
 //
 // See examples/ for complete programs and internal/experiments for the
-// paper's evaluation harness.
+// scenario registry: the paper's figure and tables plus every scenario
+// cmd/pariosim prints and the root gates assert over, each defined once.
 package pario
 
 import (

@@ -21,86 +21,14 @@ import (
 	"time"
 
 	pario "repro"
+	"repro/internal/experiments"
 )
 
-const (
-	pipeRanks   = 8
-	pipeRecords = 4096 // 4 KiB records = fs blocks, unit-1 declustered
-)
-
-// pipeResult is one measured checkpoint write.
-type pipeResult struct {
-	elapsed  time.Duration
-	requests int64
-	stats    pario.ExchangeStats
-	bytes    int64
-}
-
-// runPipelinedCheckpoint writes the 8-rank strided checkpoint over 4
-// default 1989 drives through a collective with the given chunking, on
-// a contended interconnect (100 MB/s per-process links sharing a
-// bisection pool of the given bandwidth), and verifies the landed
-// bytes.
-func runPipelinedCheckpoint(tb testing.TB, chunkBytes int64, bisection float64) pipeResult {
-	tb.Helper()
-	m := pario.NewMachine(4)
-	m.SetProbe(pario.NewRecorder()) // live recorder: must not perturb modeled time
-	f, err := m.Volume.Create(pario.Spec{
-		Name: "ckpt", Org: pario.OrgGlobalDirect,
-		RecordSize: 4096, BlockRecords: 1, NumRecords: pipeRecords,
-		Placement: pario.PlaceStriped, StripeUnitFS: 1,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	group, err := m.Volume.OpenGroup("ckpt")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	col, err := pario.OpenCollective(group, pipeRanks, pario.CollectiveOptions{ChunkBytes: chunkBytes})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	rg := m.GoRanks(pipeRanks, "rank", func(r *pario.Rank) {
-		rank := int64(r.Rank())
-		var vec pario.Vec
-		var off int64
-		for b := rank; b < pipeRecords; b += pipeRanks {
-			vec = append(vec, pario.VecSeg{Block: b, N: 1, BufOff: off})
-			off += 4096
-		}
-		buf := make([]byte, off)
-		for i, sg := range vec {
-			buf[int64(i)*4096] = byte(sg.Block)
-			buf[int64(i)*4096+1] = byte(sg.Block >> 8)
-		}
-		if err := col.WriteAll(r, []pario.VecReq{{File: 0, Vec: vec}}, buf); err != nil {
-			tb.Errorf("rank %d: %v", rank, err)
-		}
-	})
-	rg.SetLink(10*time.Microsecond, 100e6)
-	rg.SetBisection(bisection)
-	if err := m.Run(); err != nil {
-		tb.Fatal(err)
-	}
-	var res pipeResult
-	res.elapsed = m.Engine.Now()
-	res.stats = col.LastStats()
-	res.bytes = pipeRecords * 4096
-	for _, d := range m.Disks {
-		res.requests += d.Stats().Requests()
-	}
-	ctx := pario.NewWall()
-	blk := make([]byte, 4096)
-	for b := int64(0); b < pipeRecords; b++ {
-		if err := f.Set().ReadBlock(ctx, b, blk); err != nil {
-			tb.Fatal(err)
-		}
-		if blk[0] != byte(b) || blk[1] != byte(b>>8) {
-			tb.Fatalf("block %d corrupt after checkpoint (chunk=%d)", b, chunkBytes)
-		}
-	}
-	return res
+// piped runs the pipeline scenario's checkpoint with the given chunking
+// and bisection pool, with a live recorder attached (it must not
+// perturb modeled time); the run verifies the landed bytes.
+func piped(tb testing.TB, chunkBytes int64, bisection float64) map[string]float64 {
+	return runPoint(tb, experiments.PipelineCheckpoint(chunkBytes, bisection), pario.NewRecorder())
 }
 
 // TestPipelineWin enforces the acceptance criteria in both regimes:
@@ -120,29 +48,27 @@ func TestPipelineWin(t *testing.T) {
 		{"disk-bound", 6e6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			serial := runPipelinedCheckpoint(t, 0, tc.bisection)
-			piped := runPipelinedCheckpoint(t, chunk, tc.bisection)
-			ratio := serial.elapsed.Seconds() / piped.elapsed.Seconds()
+			serial := piped(t, 0, tc.bisection)
+			pipe := piped(t, chunk, tc.bisection)
+			ratio := serial["elapsed_ns"] / pipe["elapsed_ns"]
 			t.Logf("elapsed %v -> %v (%.2fx; %.2f -> %.2f MB/s)",
-				serial.elapsed, piped.elapsed, ratio,
-				float64(serial.bytes)/1e6/serial.elapsed.Seconds(),
-				float64(piped.bytes)/1e6/piped.elapsed.Seconds())
-			t.Logf("requests %d -> %d; piped exchange %v, access %v, overlap %v; link idle %.0f%% -> %.0f%%",
-				serial.requests, piped.requests,
-				piped.stats.ExchangeTime, piped.stats.AccessTime, piped.stats.Overlap,
-				100*(1-serial.stats.ExchangeTime.Seconds()/serial.elapsed.Seconds()),
-				100*(1-piped.stats.ExchangeTime.Seconds()/piped.elapsed.Seconds()))
+				elapsed(serial), elapsed(pipe), ratio, vmbps(serial), vmbps(pipe))
+			t.Logf("requests %v -> %v; piped exchange %v, access %v, overlap %v; link idle %.0f%% -> %.0f%%",
+				serial["requests"], pipe["requests"],
+				time.Duration(pipe["exchange_ns"]), time.Duration(pipe["access_ns"]), time.Duration(pipe["overlap_ns"]),
+				100*(1-serial["exchange_ns"]/serial["elapsed_ns"]),
+				100*(1-pipe["exchange_ns"]/pipe["elapsed_ns"]))
 			if ratio < 1.3 {
 				t.Errorf("modeled time improvement %.2fx < 1.3x", ratio)
 			}
-			if serial.stats.Overlap != 0 {
-				t.Errorf("single-shot write reported overlap %v, want none", serial.stats.Overlap)
+			if serial["overlap_ns"] != 0 {
+				t.Errorf("single-shot write reported overlap %v, want none", time.Duration(serial["overlap_ns"]))
 			}
-			if piped.stats.Overlap <= 0 {
-				t.Errorf("pipelined stats report no exchange/access overlap: %+v", piped.stats)
+			if pipe["overlap_ns"] <= 0 {
+				t.Errorf("pipelined stats report no exchange/access overlap: %v", pipe)
 			}
-			if !serial.stats.SameBytes(piped.stats) {
-				t.Errorf("schedules moved different bytes: %+v vs %+v", serial.stats, piped.stats)
+			if serial["bytes_moved"] != pipe["bytes_moved"] || serial["bytes_local"] != pipe["bytes_local"] {
+				t.Errorf("schedules moved different bytes: %v vs %v", serial, pipe)
 			}
 		})
 	}
@@ -157,13 +83,13 @@ func BenchmarkPipelinedCheckpoint(b *testing.B) {
 		chunk int64
 	}{{"single-shot", 0}, {"pipelined", 256 * 4096}} {
 		b.Run(mode.name, func(b *testing.B) {
-			var res pipeResult
+			var m map[string]float64
 			for i := 0; i < b.N; i++ {
-				res = runPipelinedCheckpoint(b, mode.chunk, 3.5e6)
+				m = piped(b, mode.chunk, 3.5e6)
 			}
-			b.ReportMetric(float64(res.bytes)/1e6/res.elapsed.Seconds(), "vMB/s")
-			b.ReportMetric(res.stats.Overlap.Seconds(), "overlap-s")
-			b.ReportMetric(float64(res.requests), "requests")
+			b.ReportMetric(vmbps(m), "vMB/s")
+			b.ReportMetric(m["overlap_ns"]/1e9, "overlap-s")
+			b.ReportMetric(m["requests"], "requests")
 		})
 	}
 }

@@ -8,95 +8,10 @@ package pario_test
 
 import (
 	"fmt"
-	"io"
 	"testing"
-	"time"
 
-	pario "repro"
+	"repro/internal/experiments"
 )
-
-// vecScanResult is one measured sequential whole-file scan.
-type vecScanResult struct {
-	requests int64         // device requests during the read
-	elapsed  time.Duration // virtual time of the read
-	bytes    int64
-}
-
-// runVectoredScan writes a unit-1 declustered S file of `records` 4 KiB
-// records over 4 drives and reads it back sequentially with the given
-// extent size, returning the read-phase device stats. With StripeUnitFS
-// 1, logically consecutive blocks alternate devices, so each extent's
-// per-device blocks form one physically contiguous gather run: the
-// vectored path issues one request per device per extent, where the
-// per-block path (extent 1) issues one per block.
-func runVectoredScan(tb testing.TB, records int64, extent int) vecScanResult {
-	tb.Helper()
-	m := pario.NewMachine(4)
-	f, err := m.Volume.Create(pario.Spec{
-		Name: "declustered", Org: pario.OrgSequential,
-		RecordSize: 4096, BlockRecords: 1, NumRecords: records,
-		Placement: pario.PlaceStriped, StripeUnitFS: 1,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	var res vecScanResult
-	m.Go("scan", func(p *pario.Proc) {
-		w, err := pario.OpenWriter(f, pario.Options{NBufs: 2, IOProcs: 1, ExtentBlocks: 8})
-		if err != nil {
-			tb.Error(err)
-			return
-		}
-		rec := make([]byte, 4096)
-		for r := int64(0); r < records; r++ {
-			rec[0] = byte(r)
-			if _, err := w.WriteRecord(p, rec); err != nil {
-				tb.Error(err)
-				return
-			}
-		}
-		if err := w.Close(p); err != nil {
-			tb.Error(err)
-			return
-		}
-		for _, d := range m.Disks {
-			d.ResetStats()
-		}
-		start := p.Now()
-		r, err := pario.OpenReader(f, pario.Options{NBufs: 2, IOProcs: 1, ExtentBlocks: extent})
-		if err != nil {
-			tb.Error(err)
-			return
-		}
-		for i := int64(0); ; i++ {
-			data, rec, err := r.ReadRecord(p)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				tb.Error(err)
-				return
-			}
-			if rec != i || data[0] != byte(i) {
-				tb.Errorf("record %d: got index %d first byte %d", i, rec, data[0])
-				return
-			}
-		}
-		if err := r.Close(p); err != nil {
-			tb.Error(err)
-			return
-		}
-		res.elapsed = p.Now() - start
-	})
-	if err := m.Run(); err != nil {
-		tb.Fatal(err)
-	}
-	for _, d := range m.Disks {
-		res.requests += d.Stats().Requests()
-	}
-	res.bytes = records * 4096
-	return res
-}
 
 // TestVectoredCoalescingWin enforces the acceptance criteria on a
 // sequential read of a unit-1 declustered file (4096 blocks, 1024 per
@@ -105,23 +20,23 @@ func runVectoredScan(tb testing.TB, records int64, extent int) vecScanResult {
 // at ExtentBlocks 8 — one gather run per device per extent — it must
 // halve the request count. (With 4 devices an extent of E blocks bounds
 // the reduction at E/4, so the ≥4× bar is enforced at extent 32; extent
-// 8's exact bound of 2× is enforced alongside it.)
+// 8's exact bound of 2× is enforced alongside it.) Each scan checks
+// every record it reads back.
 func TestVectoredCoalescingWin(t *testing.T) {
-	const records = 4096 // 4096 fs blocks = 1024 per device
-	perBlock := runVectoredScan(t, records, 1)
-	ext8 := runVectoredScan(t, records, 8)
-	ext32 := runVectoredScan(t, records, 32)
-	if perBlock.requests == 0 || ext8.requests == 0 || ext32.requests == 0 {
-		t.Fatalf("no requests measured: %+v %+v %+v", perBlock, ext8, ext32)
+	perBlock := runPoint(t, experiments.VectoredScan(1), nil)
+	ext8 := runPoint(t, experiments.VectoredScan(8), nil)
+	ext32 := runPoint(t, experiments.VectoredScan(32), nil)
+	if perBlock["requests"] == 0 || ext8["requests"] == 0 || ext32["requests"] == 0 {
+		t.Fatalf("no requests measured: %v %v %v", perBlock, ext8, ext32)
 	}
-	req8 := float64(perBlock.requests) / float64(ext8.requests)
-	req32 := float64(perBlock.requests) / float64(ext32.requests)
-	tp8 := perBlock.elapsed.Seconds() / ext8.elapsed.Seconds()
-	tp32 := perBlock.elapsed.Seconds() / ext32.elapsed.Seconds()
-	t.Logf("requests %d -> %d (ext8, %.1fx) -> %d (ext32, %.1fx)",
-		perBlock.requests, ext8.requests, req8, ext32.requests, req32)
+	req8 := perBlock["requests"] / ext8["requests"]
+	req32 := perBlock["requests"] / ext32["requests"]
+	tp8 := perBlock["elapsed_ns"] / ext8["elapsed_ns"]
+	tp32 := perBlock["elapsed_ns"] / ext32["elapsed_ns"]
+	t.Logf("requests %v -> %v (ext8, %.1fx) -> %v (ext32, %.1fx)",
+		perBlock["requests"], ext8["requests"], req8, ext32["requests"], req32)
 	t.Logf("elapsed %v -> %v (ext8, throughput %.2fx) -> %v (ext32, %.2fx)",
-		perBlock.elapsed, ext8.elapsed, tp8, ext32.elapsed, tp32)
+		elapsed(perBlock), elapsed(ext8), tp8, elapsed(ext32), tp32)
 	if req8 < 1.9 {
 		t.Errorf("extent-8 request reduction %.2fx < 1.9x", req8)
 	}
@@ -141,12 +56,12 @@ func TestVectoredCoalescingWin(t *testing.T) {
 func BenchmarkVectoredScan(b *testing.B) {
 	for _, extent := range []int{1, 8, 32} {
 		b.Run(fmt.Sprintf("extent%d", extent), func(b *testing.B) {
-			var res vecScanResult
+			var m map[string]float64
 			for i := 0; i < b.N; i++ {
-				res = runVectoredScan(b, 4096, extent)
+				m = runPoint(b, experiments.VectoredScan(extent), nil)
 			}
-			b.ReportMetric(float64(res.bytes)/1e6/res.elapsed.Seconds(), "vMB/s")
-			b.ReportMetric(float64(res.requests), "requests")
+			b.ReportMetric(vmbps(m), "vMB/s")
+			b.ReportMetric(m["requests"], "requests")
 		})
 	}
 }

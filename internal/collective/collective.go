@@ -186,6 +186,7 @@ type Collective struct {
 	reqs  [][]VecReq
 	bufs  [][]byte
 	errs  []error
+	err   error // the call's joined errs, built once by rank 0
 	sched *schedule
 	plErr error
 	route route
@@ -424,18 +425,26 @@ func (c *Collective) run(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) err
 		c.stats.ExchangeTime = stats.Covered(comm)
 		c.stats.AccessTime = stats.Covered(acc)
 		c.stats.Overlap = stats.Overlap(comm, acc)
+		c.err = joinRankErrs(c.errs)
 	}
+	// Hold everyone until rank 0 has joined the errors. c.err is safe to
+	// read after this barrier even if a faster rank re-enters on a
+	// reused handle: rank 0 overwrites it only after that next call's
+	// second-to-last barrier, which every rank must reach first
+	// (TestCollectiveReuseErrorVisibility).
+	p.Barrier()
+	return c.err
+}
+
+// joinRankErrs joins per-rank errors in rank order, each prefixed with
+// its rank — the one error every rank of a collective call returns.
+func joinRankErrs(rankErrs []error) error {
 	var errs []error
-	for r, err := range c.errs {
+	for r, err := range rankErrs {
 		if err != nil {
 			errs = append(errs, fmt.Errorf("rank %d: %w", r, err))
 		}
 	}
-	// Hold everyone until all ranks have read the error scratch: a rank
-	// returning early could re-enter on a reused handle and clear its
-	// slot before slower ranks join the errors
-	// (TestCollectiveReuseErrorVisibility).
-	p.Barrier()
 	return errors.Join(errs...)
 }
 
@@ -469,14 +478,17 @@ func (c *Collective) packRankMsgs(pl *plan, rank int, buf []byte) []mpp.Msg {
 }
 
 // assembleDomains builds the owned domains' buffers from the write-phase
-// receive list. The caller sorts recv by source rank first, so each
-// domain sees its sources applied in rank order and overlap resolution
-// (Options.LastWriterWins) matches the rank-ordered semantics. Each
-// payload is one source's clips across the owned domains in ascending
-// order — packRankMsgs's concatenation — so a single per-message cursor
-// consumes it; consumed payloads return to the pool.
+// receive list. When the plan has overlapping writes it sorts recv by
+// source rank first, so each domain sees its sources applied in rank
+// order and overlap resolution (Options.LastWriterWins) matches the
+// rank-ordered semantics; disjoint sources land the same bytes in any
+// order. Each payload is one source's clips across the owned domains in
+// ascending order — packRankMsgs's concatenation — so a single
+// per-message cursor consumes it; consumed payloads return to the pool.
 func (c *Collective) assembleDomains(pl *plan, owned []int, recv []mpp.RecvMsg, dombufs [][]byte) {
-	mpp.SortBySrc(recv)
+	if pl.overlaps {
+		mpp.SortBySrc(recv)
+	}
 	for _, m := range recv {
 		var off int64
 		for i, a := range owned {

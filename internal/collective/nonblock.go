@@ -41,6 +41,7 @@ type Handle struct {
 	dombufs [][][]byte
 	bufs    [][]byte
 	errs    []error
+	err     error // the joined errs, built once by rank 0 in Wait
 }
 
 // IWriteAll starts a nonblocking collective write: the exchange runs
@@ -176,14 +177,10 @@ func (h *Handle) Wait(p *mpp.Proc) error {
 		p.RecycleRecv(recv)
 	}
 	p.Barrier()
-	var errs []error
-	for r, err := range h.errs {
-		if err != nil {
-			errs = append(errs, fmt.Errorf("rank %d: %w", r, err))
-		}
+	if rank == 0 {
+		h.err = joinRankErrs(h.errs)
 	}
-	// Hold everyone until all ranks have read the error slots (the
-	// blocking calls' reuse-visibility rule, TestCollectiveReuseErrorVisibility).
+	// Hold everyone until rank 0 has joined the error slots.
 	p.Barrier()
-	return errors.Join(errs...)
+	return h.err
 }

@@ -216,14 +216,17 @@ func (s *aggState) chunkBuf(i, k int, lo, hi int64) []byte {
 // domains' chunk staging buffers and issues each chunk's window of the
 // prepared plan. A single cursor walks each payload across the owned
 // domains in ascending order, mirroring packChunkSparse's
-// concatenation; the receive list is sorted by source first, so each
-// domain sees its sources in rank order and LastWriterWins overlaps
-// resolve exactly as in the single-shot schedule. Assembly is pure
-// compute, so finishing it before the first WriteWindow leaves the
-// device schedule bit-identical to assembling per domain.
+// concatenation; when the plan has overlapping writes the receive list
+// is sorted by source first, so each domain sees its sources in rank
+// order and LastWriterWins overlaps resolve exactly as in the
+// single-shot schedule. Assembly is pure compute, so finishing it before
+// the first WriteWindow leaves the device schedule bit-identical to
+// assembling per domain.
 func (s *aggState) writeChunk(ctx sim.Context, k int, recv []mpp.RecvMsg) error {
 	pl := s.pl
-	mpp.SortBySrc(recv)
+	if pl.overlaps {
+		mpp.SortBySrc(recv)
+	}
 	for _, m := range recv {
 		var off int64
 		for i, a := range s.owned {

@@ -68,6 +68,12 @@ type plan struct {
 	domBlocks int64     // blocks per domain (last one ragged)
 	owner     []int     // domain index → aggregator rank
 	shares    [][]int64 // shares[rank][domain]: exchange payload bytes
+	// overlaps records that some block is requested by more than one
+	// segment. Only then does the order in which an aggregator applies
+	// its received payloads matter (LastWriterWins writes resolve in
+	// rank order), so only then does write assembly sort its receive
+	// list by source.
+	overlaps bool
 	// Chunking (Options.ChunkBytes): each domain is cut into
 	// chunkBlocks-block chunks (the final chunk of a domain ragged), and
 	// the collective runs as `rounds` pipelined exchange/access rounds —
@@ -165,6 +171,7 @@ func buildPlan(group *pfs.FileGroup, reqs [][]VecReq, bufs [][]byte, naggs int, 
 			}
 			// Reads may share blocks, and LastWriterWins resolves write
 			// overlaps in rank order; the union merge below absorbs both.
+			pl.overlaps = true
 		}
 		if k := len(pl.covered) - 1; k >= 0 && pl.covered[k].gb+pl.covered[k].n >= sg.gb {
 			if end := sg.gb + sg.n; end > pl.covered[k].gb+pl.covered[k].n {

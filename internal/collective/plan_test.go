@@ -183,6 +183,19 @@ func TestPlanLastWriterWinsOverlap(t *testing.T) {
 	if pl.total != 6 {
 		t.Fatalf("overlap footprint = %d blocks, want 6", pl.total)
 	}
+	// Only an overlapping plan makes write assembly sort its receive
+	// lists by source; a long segment covering two later ones counts.
+	if !pl.overlaps {
+		t.Fatal("overlapping plan not flagged: assembly would skip the rank-order sort")
+	}
+	nested := [][]VecReq{slabReqs(0, 8), slabReqs(2, 3), slabReqs(5, 6)}
+	if pl, err := buildPlan(g, nested, [][]byte{buf, buf, buf}, 2, true, Options{LastWriterWins: true}); err != nil || !pl.overlaps {
+		t.Fatalf("nested overlap: err %v, flagged %v", err, err == nil && pl.overlaps)
+	}
+	disjoint := [][]VecReq{slabReqs(0, 2), slabReqs(2, 6)}
+	if pl, err := buildPlan(g, disjoint, bufs, 2, true, Options{LastWriterWins: true}); err != nil || pl.overlaps {
+		t.Fatalf("disjoint plan: err %v, flagged %v", err, err == nil && pl.overlaps)
+	}
 	// Same-rank overlaps stay rejected: their outcome has no rank order.
 	self := [][]VecReq{{
 		{File: 0, Vec: blockio.Vec{{Block: 0, N: 3, BufOff: 0}}},

@@ -259,6 +259,38 @@ func TestPlanReplayWin(t *testing.T) {
 	}
 }
 
+// TestPlanReplaySteadyState isolates the schedule cache from warm-up:
+// on the same 1024 × 64 loop, cached iterations 2..64 against uncached
+// iterations 2..64 (pools, shells and staging warm on both sides), so
+// only the replay itself is credited. Replay must allocate ≥10× less
+// and run faster in median wall-clock than re-planning every call.
+func TestPlanReplaySteadyState(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1024-rank × 64-iteration loop: skipped in -short")
+	}
+	const nRanks, iters = 1024, 64
+	cached := runReplayWin(t, nRanks, iters, true, nil)
+	fresh := runReplayWin(t, nRanks, iters, false, nil)
+	if cached.cache.Hits != uint64(iters-1) || fresh.cache.Hits != 0 {
+		t.Fatalf("cache hits: cached run %d (want %d), uncached run %d (want 0)",
+			cached.cache.Hits, iters-1, fresh.cache.Hits)
+	}
+	_, cWall, _, cAllocs := replayWinSummary(cached)
+	_, fWall, _, fAllocs := replayWinSummary(fresh)
+	t.Logf("iterations 2..%d: cached %v median, %d allocs mean; uncached %v median, %d allocs mean (%.1fx wall, %.1fx allocs)",
+		iters, cWall, cAllocs, fWall, fAllocs, float64(fWall)/float64(cWall), float64(fAllocs)/float64(cAllocs))
+	if raceEnabled {
+		t.Log("race detector active: perf-ratio assertions skipped")
+		return
+	}
+	if cAllocs*10 > fAllocs {
+		t.Errorf("cached steady state allocates too much: %d mean vs %d uncached (want ≥10× fewer)", cAllocs, fAllocs)
+	}
+	if cWall >= fWall {
+		t.Errorf("cached steady state not faster: %v median vs %v uncached", cWall, fWall)
+	}
+}
+
 // BenchmarkPlanReplay is the CI trajectory benchmark (BENCH_replay.json):
 // the checkpoint loop cached vs uncached, reporting iteration-1 build
 // cost, replayed-iteration cost, and the per-iteration speedup.

@@ -170,9 +170,10 @@ type Group struct {
 	// Reset (idempotently) after the exit barrier, like crossVol.
 	exCharged bool
 	exEnd     time.Duration
-	// reduction scratch
+	// reduction scratch: every rank's contribution, and the result
+	// rank 0 folds from them once per call
 	redVals   []float64
-	redCount  int
+	redOut    float64
 	gather    [][]byte
 	gatherBuf [][]byte   // per-rank retained Gather copies, reused per call
 	a2a       [][][]byte // a2a[src][dst]: dense Alltoallv scratch (lazy)
@@ -215,32 +216,46 @@ func Run(e *sim.Engine, size int, name string, fn func(p *Proc)) (*Group, *sim.G
 }
 
 // ReduceSum performs a barrier-synchronized sum reduction: every process
-// contributes v and all receive the total.
+// contributes v and all receive the total, summed in rank order (so the
+// floating-point result does not depend on scheduling).
 func (p *Proc) ReduceSum(v float64) float64 {
-	g := p.group
-	g.redVals[p.rank] = v
-	p.Barrier()
-	var sum float64
-	for _, x := range g.redVals {
-		sum += x
-	}
-	p.Barrier() // don't let anyone overwrite redVals before all have read
-	return sum
+	return p.reduce(v, func(vals []float64) float64 {
+		var sum float64
+		for _, x := range vals {
+			sum += x
+		}
+		return sum
+	})
 }
 
 // ReduceMax performs a barrier-synchronized max reduction.
 func (p *Proc) ReduceMax(v float64) float64 {
+	return p.reduce(v, func(vals []float64) float64 {
+		max := vals[0]
+		for _, x := range vals[1:] {
+			if x > max {
+				max = x
+			}
+		}
+		return max
+	})
+}
+
+// reduce gathers every rank's v and returns fold over them, indexed by
+// rank. Rank 0 folds once between the two barriers and every rank reads
+// the shared result after the second, so a call costs O(P) in total
+// rather than O(P) per rank. A rank that returns early and re-enters
+// cannot clobber the result: rank 0 rewrites it only after the next
+// call's first barrier, which every rank must reach first.
+func (p *Proc) reduce(v float64, fold func(vals []float64) float64) float64 {
 	g := p.group
 	g.redVals[p.rank] = v
 	p.Barrier()
-	max := g.redVals[0]
-	for _, x := range g.redVals[1:] {
-		if x > max {
-			max = x
-		}
+	if p.rank == 0 {
+		g.redOut = fold(g.redVals)
 	}
 	p.Barrier()
-	return max
+	return g.redOut
 }
 
 // Gather collects each process's payload; rank 0's slice of all payloads

@@ -63,6 +63,41 @@ func TestReduceSum(t *testing.T) {
 	}
 }
 
+// TestReduceSumRankOrder pins the summation order: values whose float
+// sum depends on association must come out as the rank-order sum on
+// every rank, in every call.
+func TestReduceSumRankOrder(t *testing.T) {
+	vals := []float64{1e16, 1, 1, -1e16, 0.5, -0.25}
+	var want float64
+	for _, v := range vals {
+		want += v
+	}
+	var rev float64
+	for i := len(vals) - 1; i >= 0; i-- {
+		rev += vals[i]
+	}
+	if want == rev {
+		t.Fatalf("test values sum to %v in either order; they cannot pin the order", want)
+	}
+	e := sim.NewEngine()
+	_, join := Run(e, len(vals), "w", func(p *Proc) {
+		for call := 0; call < 3; call++ {
+			// Stagger arrival so ranks reach the reduction out of order.
+			p.Sleep(time.Duration((len(vals)-p.Rank())*(call+1)) * time.Microsecond)
+			if got := p.ReduceSum(vals[p.Rank()]); got != want {
+				t.Errorf("call %d rank %d: sum %v, want rank-order %v", call, p.Rank(), got, want)
+			}
+			if got := p.ReduceMax(vals[p.Rank()]); got != 1e16 {
+				t.Errorf("call %d rank %d: max %v, want 1e16", call, p.Rank(), got)
+			}
+		}
+	})
+	e.Go("join", func(sp *sim.Proc) { join.Wait(sp) })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestReduceMax(t *testing.T) {
 	e := sim.NewEngine()
 	_, join := Run(e, 5, "w", func(p *Proc) {

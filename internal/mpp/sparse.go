@@ -1,5 +1,10 @@
 package mpp
 
+import (
+	"cmp"
+	"slices"
+)
+
 // Sparse personalized exchanges: the same collectives as Alltoallv and
 // Exchange.Round, carried as explicit message lists instead of
 // rank-indexed slices. A process pays only for the pairs it actually
@@ -28,16 +33,14 @@ type RecvMsg struct {
 	Data []byte
 }
 
-// SortBySrc orders a receive list by source rank in place (insertion
-// sort: receive lists are short and nearly ordered, and unlike
-// sort.Slice this allocates nothing). Use it when consumption order
-// matters, e.g. a last-writer-wins merge keyed on rank order.
+// SortBySrc orders a receive list by source rank in place. The sort is
+// stable (messages with equal Src keep their relative order), allocates
+// nothing, and makes O(n log n) comparisons: a list can hold one message
+// from every rank of the group, in whatever order the engine ran the
+// senders. Use it only when consumption order matters, e.g. a
+// last-writer-wins merge keyed on rank order.
 func SortBySrc(recv []RecvMsg) {
-	for i := 1; i < len(recv); i++ {
-		for j := i; j > 0 && recv[j].Src < recv[j-1].Src; j-- {
-			recv[j], recv[j-1] = recv[j-1], recv[j]
-		}
-	}
+	slices.SortStableFunc(recv, func(a, b RecvMsg) int { return cmp.Compare(a.Src, b.Src) })
 }
 
 // ensureSparse lazily allocates the per-rank inboxes.

@@ -326,3 +326,71 @@ func TestEngineScaleWin(t *testing.T) {
 			float64(dense.wall)/float64(sp.wall), dense.wall, sp.wall)
 	}
 }
+
+// TestSortBySrc checks the receive-list sort on the orders a 1024-rank
+// exchange can deliver — reversed and shuffled — plus repeated sources,
+// whose relative order the sort must keep (it is stable), and that it
+// allocates nothing.
+func TestSortBySrc(t *testing.T) {
+	const n = 1024
+	mk := func(srcs []int) []RecvMsg {
+		recv := make([]RecvMsg, len(srcs))
+		for i, s := range srcs {
+			recv[i] = RecvMsg{Src: s, Data: []byte{byte(i), byte(i >> 8)}}
+		}
+		return recv
+	}
+	reversed := make([]int, n)
+	for i := range reversed {
+		reversed[i] = n - 1 - i
+	}
+	shuffled := make([]int, n)
+	for i := range shuffled {
+		shuffled[i] = (i * 389) % n // 389 is coprime to 1024: a permutation
+	}
+	dups := make([]int, n)
+	for i := range dups {
+		dups[i] = (i * 7) % 13
+	}
+	for _, tc := range []struct {
+		name string
+		srcs []int
+	}{
+		{"empty", nil},
+		{"reversed", reversed},
+		{"shuffled", shuffled},
+		{"duplicates", dups},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			orig := mk(tc.srcs)
+			recv := make([]RecvMsg, len(orig))
+			if allocs := testing.AllocsPerRun(5, func() {
+				copy(recv, orig)
+				SortBySrc(recv)
+			}); allocs > 0 {
+				t.Errorf("SortBySrc allocated %.0f times", allocs)
+			}
+			seen := make(map[int]int)
+			for i, m := range recv {
+				pos := int(m.Data[0]) | int(m.Data[1])<<8
+				if tc.srcs[pos] != m.Src {
+					t.Fatalf("entry %d: Src %d carries the payload of position %d (Src %d)", i, m.Src, pos, tc.srcs[pos])
+				}
+				seen[pos]++
+				if i == 0 {
+					continue
+				}
+				prev := recv[i-1]
+				if prev.Src > m.Src {
+					t.Fatalf("entry %d: Src %d after %d", i, m.Src, prev.Src)
+				}
+				if prevPos := int(prev.Data[0]) | int(prev.Data[1])<<8; prev.Src == m.Src && prevPos > pos {
+					t.Fatalf("entry %d: equal Src %d reordered (position %d before %d)", i, m.Src, prevPos, pos)
+				}
+			}
+			if len(seen) != len(tc.srcs) {
+				t.Fatalf("sorted list holds %d distinct entries, want %d", len(seen), len(tc.srcs))
+			}
+		})
+	}
+}

@@ -30,9 +30,22 @@
 // shells — struct, wake channel, and worker goroutine — are recycled
 // through a free list, so spawn-heavy patterns (sim.Par fan-out per
 // device access) stop paying per-spawn allocation and goroutine-creation
-// costs after warm-up. All of this changes wall-clock cost only: the
-// dispatch order, and therefore every modeled timestamp, is bit-identical
-// to a naive heap-of-events scheduler.
+// costs after warm-up.
+//
+// Dispatch is a direct handoff. There is no scheduler goroutine in the
+// loop: a process that parks or finishes runs the pick step itself
+// (Engine.next) and resumes the chosen process by sending on that
+// process's wake channel — one goroutine switch per dispatch rather
+// than a round trip through the owner. When the parker is itself the
+// next event (a lone process sleeping, or Sleep(0) with nothing else
+// ready) it returns without touching a channel at all. Run only starts
+// the first process and then waits for the run-over signal, which the
+// process that finds nothing left to dispatch sends: on completion, or
+// with a *Deadlock when processes remain parked with no pending event.
+//
+// All of this changes wall-clock cost only: the dispatch order, and
+// therefore every modeled timestamp, is bit-identical to a naive
+// heap-of-events scheduler.
 package sim
 
 import (
@@ -77,9 +90,10 @@ type Engine struct {
 	heap      []*Proc // indexed min-heap on (evAt, evSeq); one slot per proc
 	ready     []*Proc // FIFO of procs whose event time equals now
 	readyHead int
-	live      []*Proc // live processes (order immaterial; swap-removed)
-	free      []*Proc // finished shells available for reuse by Go
-	yield     chan struct{}
+	live      []*Proc       // live processes (order immaterial; swap-removed)
+	free      []*Proc       // finished shells available for reuse by Go
+	over      chan struct{} // signalled once when nothing is left to dispatch
+	err       error         // Run's result, set by whoever signals over
 	started   bool
 	// Flight-recorder hooks (nil when no recorder is attached; all are
 	// nil-safe, so the off path costs one pointer check per site).
@@ -91,7 +105,7 @@ type Engine struct {
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
-	return &Engine{yield: make(chan struct{})}
+	return &Engine{over: make(chan struct{})}
 }
 
 // Now reports current virtual time. Valid from any managed process and,
@@ -176,8 +190,10 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 }
 
 // loop is the worker goroutine body: run one process function per wake,
-// then return the shell to the engine's free list. The goroutine exits
-// when the engine closes the shell's wake channel after Run completes.
+// return the shell to the engine's free list, and hand control to the
+// next event (a finished process can never be its own next event). The
+// goroutine exits when Run closes the shell's wake channel at the end
+// of the run.
 func (p *Proc) loop() {
 	for {
 		if _, ok := <-p.wake; !ok {
@@ -194,7 +210,7 @@ func (p *Proc) loop() {
 		e.live = e.live[:last]
 		p.dead = true
 		e.free = append(e.free, p)
-		e.yield <- struct{}{}
+		e.handoff(e.next())
 	}
 }
 
@@ -237,11 +253,32 @@ func (e *Engine) schedule(at time.Duration, p *Proc, ep uint64) {
 	// Otherwise the pending event fires no later; the new one is stale.
 }
 
-// park hands control to the scheduler and blocks until resumed. The
-// caller must have set waiting and bumped epoch (via sleep/Park).
+// park gives up control and blocks until resumed. The caller must have
+// set waiting and bumped epoch (via SleepUntil/Park). The parking
+// process runs the pick step itself: if its own event is next it simply
+// continues (the self-dispatch fast path, no channel operation);
+// otherwise it wakes the chosen process directly — or, when nothing is
+// dispatchable, signals Run that the run is over — and waits on its own
+// wake channel.
 func (p *Proc) park() {
-	p.e.yield <- struct{}{}
+	e := p.e
+	q := e.next()
+	if q == p {
+		return
+	}
+	e.handoff(q)
 	<-p.wake
+}
+
+// handoff resumes q, or, when q is nil, signals Run that the run is
+// over (e.err holds its result). The caller must touch no engine state
+// afterwards: control now belongs to q (or to Run).
+func (e *Engine) handoff(q *Proc) {
+	if q == nil {
+		e.over <- struct{}{}
+		return
+	}
+	q.wake <- struct{}{}
 }
 
 // Sleep suspends the process for d of virtual time. Sleep(0) yields,
@@ -300,56 +337,71 @@ func (d *Deadlock) Error() string {
 // most once. It returns a *Deadlock error if processes remain parked with
 // no pending events; otherwise nil.
 //
-// Dispatch order: among pending events, the minimum (time, schedule-seq)
-// fires first. Events for the current instant live on a FIFO ready list;
-// every heap event at the current instant was scheduled before time
-// advanced here and so precedes every ready entry, which is why draining
-// heap-at-now before the ready list preserves exact seq order.
+// Run itself dispatches only the first event. From then on each process
+// that parks or finishes picks and resumes its successor (see park), and
+// the process that finds nothing left to dispatch — the run complete, or
+// a deadlock detected in next — signals Run, which reaps the pooled
+// worker goroutines and returns.
 func (e *Engine) Run() error {
 	if e.started {
 		return fmt.Errorf("sim: Run called twice")
 	}
 	e.started = true
-	for {
-		if len(e.live) == 0 {
-			e.flushBatch()
-			e.reapFree()
-			return nil
-		}
-		var p *Proc
-		switch {
-		case len(e.heap) > 0 && e.heap[0].evAt == e.now:
-			p = e.heapPop()
-		case e.readyHead < len(e.ready):
-			p = e.ready[e.readyHead]
-			e.ready[e.readyHead] = nil
-			e.readyHead++
-			if e.readyHead == len(e.ready) {
-				e.ready = e.ready[:0]
-				e.readyHead = 0
-			}
-			p.slot = slotNone
-		case len(e.heap) > 0:
-			e.flushBatch()
-			e.now = e.heap[0].evAt
-			p = e.heapPop()
-		default:
-			var names []string
-			for _, q := range e.live {
-				names = append(names, q.name)
-			}
-			sort.Strings(names)
-			e.reapFree()
-			return &Deadlock{At: e.now, Procs: names}
-		}
-		if e.prDispatch != nil {
-			e.prDispatch.Add(1)
-			e.batchN++
-		}
-		p.waiting = false
-		p.wake <- struct{}{}
-		<-e.yield // wait for the process to park or finish
+	if q := e.next(); q != nil {
+		q.wake <- struct{}{}
+		<-e.over
 	}
+	e.reapFree()
+	return e.err
+}
+
+// next is the pick step: it removes the next event, marks its process
+// running and returns it. It returns nil when nothing can be dispatched,
+// leaving Run's result in e.err: nil when no process is live, a
+// *Deadlock when processes remain but no event is pending.
+//
+// Dispatch order: among pending events, the minimum (time, schedule-seq)
+// fires first. Events for the current instant live on a FIFO ready list;
+// every heap event at the current instant was scheduled before time
+// advanced here and so precedes every ready entry, which is why draining
+// heap-at-now before the ready list preserves exact seq order.
+func (e *Engine) next() *Proc {
+	if len(e.live) == 0 {
+		e.flushBatch()
+		return nil
+	}
+	var p *Proc
+	switch {
+	case len(e.heap) > 0 && e.heap[0].evAt == e.now:
+		p = e.heapPop()
+	case e.readyHead < len(e.ready):
+		p = e.ready[e.readyHead]
+		e.ready[e.readyHead] = nil
+		e.readyHead++
+		if e.readyHead == len(e.ready) {
+			e.ready = e.ready[:0]
+			e.readyHead = 0
+		}
+		p.slot = slotNone
+	case len(e.heap) > 0:
+		e.flushBatch()
+		e.now = e.heap[0].evAt
+		p = e.heapPop()
+	default:
+		var names []string
+		for _, q := range e.live {
+			names = append(names, q.name)
+		}
+		sort.Strings(names)
+		e.err = &Deadlock{At: e.now, Procs: names}
+		return nil
+	}
+	if e.prDispatch != nil {
+		e.prDispatch.Add(1)
+		e.batchN++
+	}
+	p.waiting = false
+	return p
 }
 
 // flushBatch folds the just-completed instant's dispatch count into the

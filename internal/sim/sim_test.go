@@ -1,9 +1,14 @@
 package sim
 
 import (
+	"errors"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/probe"
 )
 
 func TestEngineEmptyRun(t *testing.T) {
@@ -529,4 +534,165 @@ func TestWallContext(t *testing.T) {
 	if zero.Now() < 0 {
 		t.Fatal("zero Wall Now negative")
 	}
+}
+
+// TestDeadlockAfterShellReuse reaches a deadlock mid-run, after earlier
+// processes have finished and their shells have been recycled by Go.
+// Detection happens in whichever process finds nothing left to
+// dispatch — here the last one to park — and the report must name
+// exactly the processes still parked, not the finished ones whose
+// shells they reuse.
+func TestDeadlockAfterShellReuse(t *testing.T) {
+	e := NewEngine()
+	var wq WaitQueue
+	shells := make(map[*Proc]bool)
+	reused := 0
+	e.Go("spawner", func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			var g Group
+			g.Spawn(e, "short", func(c *Proc) {
+				shells[c] = true
+				c.Sleep(time.Millisecond)
+			})
+			g.Wait(p)
+		}
+		for _, name := range []string{"stuck-b", "stuck-a"} {
+			q := e.Go(name, func(c *Proc) {
+				if c.Name() == "stuck-a" {
+					c.Sleep(2 * time.Millisecond) // park after the spawner has finished
+				}
+				wq.Wait(c)
+			})
+			if shells[q] {
+				reused++
+			}
+		}
+		p.Sleep(time.Millisecond)
+	})
+	err := e.Run()
+	var d *Deadlock
+	if !errors.As(err, &d) {
+		t.Fatalf("expected *Deadlock, got %v", err)
+	}
+	if want := []string{"stuck-a", "stuck-b"}; !reflect.DeepEqual(d.Procs, want) {
+		t.Fatalf("deadlock procs = %v, want %v", d.Procs, want)
+	}
+	if d.At != 5*time.Millisecond {
+		t.Fatalf("deadlock at %v, want 5ms", d.At)
+	}
+	if reused == 0 {
+		t.Fatal("no parked process reused a finished shell; the test lost its point")
+	}
+	if wq.Len() != 2 {
+		t.Fatalf("%d processes parked on the queue, want 2", wq.Len())
+	}
+}
+
+// TestRunLeavesNoGoroutines checks that a clean Run reaps every worker
+// goroutine it created: fan-out, barriers and shell reuse included.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine()
+	b := NewBarrier(32)
+	for i := 0; i < 32; i++ {
+		e.Go("w", func(p *Proc) {
+			for round := 0; round < 4; round++ {
+				_ = Par(p,
+					func(c Context) error { c.Sleep(time.Microsecond); return nil },
+					func(c Context) error { c.Sleep(2 * time.Microsecond); return nil })
+				b.Wait(p)
+			}
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// Workers exit asynchronously once Run closes their wake channels.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Run, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestLoneSleeperSelfDispatch drives the self-dispatch fast path: a
+// process that is always its own next event never hands off, yet every
+// sleep must still advance virtual time and count as a dispatch.
+func TestLoneSleeperSelfDispatch(t *testing.T) {
+	const n = 100000
+	e := NewEngine()
+	rec := probe.New()
+	e.SetProbe(rec)
+	e.Go("lone", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			p.Sleep(time.Microsecond)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if e.Now() != n*time.Microsecond {
+		t.Fatalf("end time %v, want %v", e.Now(), n*time.Microsecond)
+	}
+	if got := rec.Metrics().Counter("sim.dispatches").Value(); got != n+1 {
+		t.Fatalf("%d dispatches, want %d (start plus one per sleep)", got, n+1)
+	}
+}
+
+// BenchmarkEngineHandoff measures the host cost of one dispatch: 1024
+// processes meeting at a barrier b.N times (mass release, ready-list
+// dispatch), and two processes waking each other b.N times (a handoff
+// per dispatch, the worst case for goroutine switching).
+func BenchmarkEngineHandoff(b *testing.B) {
+	report := func(b *testing.B, rec *probe.Recorder) {
+		if n := rec.Metrics().Counter("sim.dispatches").Value(); n > 0 {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/dispatch")
+		}
+	}
+	b.Run("barrier-1024", func(b *testing.B) {
+		e := NewEngine()
+		rec := probe.New()
+		e.SetProbe(rec)
+		bar := NewBarrier(1024)
+		for i := 0; i < 1024; i++ {
+			e.Go("w", func(p *Proc) {
+				for r := 0; r < b.N; r++ {
+					bar.Wait(p)
+				}
+			})
+		}
+		b.ResetTimer()
+		if err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		report(b, rec)
+	})
+	b.Run("pingpong", func(b *testing.B) {
+		e := NewEngine()
+		rec := probe.New()
+		e.SetProbe(rec)
+		turn := 0
+		var wq [2]WaitQueue
+		for side := 0; side < 2; side++ {
+			side := side
+			e.Go("pp", func(p *Proc) {
+				for r := 0; r < b.N; r++ {
+					for turn != side {
+						wq[side].Wait(p)
+					}
+					turn = 1 - side
+					wq[1-side].WakeOne(e)
+				}
+			})
+		}
+		b.ResetTimer()
+		if err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		report(b, rec)
+	})
 }
